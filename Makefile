@@ -41,10 +41,12 @@ bench-kernel-baseline:
 		./internal/core ./internal/ga > /tmp/kernel_bench.txt
 	$(GO) run ./cmd/benchstatgate -baseline BENCH_kernel.json -update /tmp/kernel_bench.txt
 
-# Short mutation pass over the persistence decoders (CI runs the same).
+# Short mutation pass over the persistence decoders and the WAL replay
+# (CI runs the same).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalIMB$$' -fuzztime 10s ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalSpec$$' -fuzztime 10s ./internal/persist
+	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/durable
 
 # End-to-end smoke of the swappd service: start it, health-check, one
 # real cached /v1/project round-trip (second call must hit), clean drain —

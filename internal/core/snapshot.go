@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/imb"
@@ -51,23 +52,19 @@ func (s *Store) ExportSnapshot() *StoreSnapshot {
 		return &StoreSnapshot{Version: SnapshotVersion}
 	}
 	snap := &StoreSnapshot{Version: SnapshotVersion, Artifacts: s.ExportArtifacts()}
-	for _, key := range s.DebugKeys("characterisation") {
-		s.chars.mu.Lock()
-		el, ok := s.chars.entries[key]
-		var val any
-		if ok {
-			val = el.Value.(*layerEntry).val
-		}
-		s.chars.mu.Unlock()
-		if !ok {
-			continue
-		}
+	type entry struct {
+		key string
+		val any
+	}
+	var entries []entry
+	s.chars.c.Range(func(key string, val any) { entries = append(entries, entry{key, val}) })
+	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
+	for _, e := range entries {
 		var body []byte
 		var err error
-		switch v := val.(type) {
+		switch v := e.val.(type) {
 		case map[string]spec.Result:
-			machine := machineOfSpecKey(key)
-			body, err = persist.MarshalSpec(machine, v)
+			body, err = persist.MarshalSpec(machineOfSpecKey(e.key), v)
 		case *imb.Table:
 			body, err = persist.MarshalIMB(v)
 		default:
@@ -77,7 +74,7 @@ func (s *Store) ExportSnapshot() *StoreSnapshot {
 			continue
 		}
 		sum := sha256.Sum256(body)
-		snap.Chars = append(snap.Chars, CharArtifact{Key: key, Sum: hex.EncodeToString(sum[:]), Body: body})
+		snap.Chars = append(snap.Chars, CharArtifact{Key: e.key, Sum: hex.EncodeToString(sum[:]), Body: body})
 	}
 	return snap
 }
@@ -96,8 +93,8 @@ func machineOfSpecKey(key string) string {
 // validators and its content-derived key must equal the recorded key, so
 // a snapshot can never publish data under a key it doesn't match.
 // Returns how many entries were stored and how many rejected; rejections
-// are counted on the vault's _rejects counter (artifacts) or the
-// characterisation layer's <prefix>.characterisation_rejects.
+// are counted on the vault's _rejects or _conflicts counter (artifacts) or
+// the characterisation layer's <prefix>.characterisation_rejects.
 func (s *Store) ImportSnapshot(snap *StoreSnapshot) (stored, rejected int) {
 	if s == nil || snap == nil {
 		return 0, 0
@@ -150,30 +147,9 @@ func (s *Store) importChar(c CharArtifact) bool {
 	if c.Key != wantKey {
 		return false
 	}
-	s.chars.putIfAbsent(c.Key, val)
+	// Live data is never overwritten by a spill: a resident entry wins.
+	if _, added := s.chars.c.Add(c.Key, val); added {
+		s.chars.obs.Gauge(s.chars.size, float64(s.chars.c.Len()))
+	}
 	return true
-}
-
-// putIfAbsent publishes a value directly into the layer (the snapshot
-// import path — there is no fill to run). An existing entry wins: live
-// data is never overwritten by a spill.
-func (l *layer) putIfAbsent(key string, val any) {
-	l.mu.Lock()
-	if _, ok := l.entries[key]; ok {
-		l.mu.Unlock()
-		return
-	}
-	l.entries[key] = l.ll.PushFront(&layerEntry{key: key, val: val})
-	for l.ll.Len() > l.max {
-		oldest := l.ll.Back()
-		l.ll.Remove(oldest)
-		ev := oldest.Value.(*layerEntry).key
-		delete(l.entries, ev)
-		if l.onEvict != nil {
-			l.onEvict(ev)
-		}
-	}
-	size := l.ll.Len()
-	l.mu.Unlock()
-	l.obs.Gauge(l.name+"_size", float64(size))
 }

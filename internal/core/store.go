@@ -1,17 +1,16 @@
 package core
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/imb"
+	"repro/internal/lru"
 	"repro/internal/mpiprof"
 	"repro/internal/nas"
 	"repro/internal/obs"
@@ -69,18 +68,19 @@ type Store struct {
 	warmIdx warmIndex
 }
 
+// Layer capacities, in entries. A SPEC entry is one suite run, an IMB
+// entry one per-count table, a profile entry one (app, ranks) observation,
+// a surrogate entry one finished compute projection, and a vault entry one
+// rendered result body replicated from a ring peer.
+const (
+	characterisationCap = 64
+	profileCap          = 512
+	surrogateCap        = 512
+	artifactCap         = 1024
+)
+
 // StoreConfig parameterises NewStore. The zero value is usable.
 type StoreConfig struct {
-	// CharacterisationCap, ProfileCap and SurrogateCap bound the layers,
-	// in entries (defaults 64, 512, 512). A SPEC entry is one suite run,
-	// an IMB entry one per-count table, a profile entry one (app, ranks)
-	// observation, a surrogate entry one finished compute projection.
-	CharacterisationCap int
-	ProfileCap          int
-	SurrogateCap        int
-	// ArtifactCap bounds the replication vault, in entries (default 1024).
-	// A vault entry is one rendered result body replicated from a ring peer.
-	ArtifactCap int
 	// Obs receives the per-layer counters and size gauges
 	// (<prefix>.characterisation_hits / _misses / _size, likewise for
 	// profile and surrogate). nil disables metrics, not the store.
@@ -93,27 +93,21 @@ type StoreConfig struct {
 
 // NewStore builds an empty layered store.
 func NewStore(cfg StoreConfig) *Store {
-	if cfg.CharacterisationCap <= 0 {
-		cfg.CharacterisationCap = 64
-	}
-	if cfg.ProfileCap <= 0 {
-		cfg.ProfileCap = 512
-	}
-	if cfg.SurrogateCap <= 0 {
-		cfg.SurrogateCap = 512
-	}
-	if cfg.ArtifactCap <= 0 {
-		cfg.ArtifactCap = 1024
-	}
+	return newStore(cfg, characterisationCap, profileCap, surrogateCap, artifactCap)
+}
+
+// newStore builds a store with explicit layer capacities (tests shrink
+// them to exercise eviction).
+func newStore(cfg StoreConfig, chars, profiles, surrogates, artifacts int) *Store {
 	prefix := cfg.MetricPrefix
 	if prefix == "" {
 		prefix = "core.store"
 	}
 	s := &Store{
-		chars:     newLayer(prefix+".characterisation", cfg.CharacterisationCap, cfg.Obs),
-		profiles:  newLayer(prefix+".profile", cfg.ProfileCap, cfg.Obs),
-		surrogate: newLayer(prefix+".surrogate", cfg.SurrogateCap, cfg.Obs),
-		artifacts: newArtifactVault(prefix+".artifact", cfg.ArtifactCap, cfg.Obs),
+		chars:     newLayer(prefix+".characterisation", chars, cfg.Obs),
+		profiles:  newLayer(prefix+".profile", profiles, cfg.Obs),
+		surrogate: newLayer(prefix+".surrogate", surrogates, cfg.Obs),
+		artifacts: newArtifactVault(prefix+".artifact", artifacts, cfg.Obs),
 	}
 	s.surrogate.onEvict = s.warmIdx.remove
 	return s
@@ -305,45 +299,29 @@ func (w *warmIndex) nearest(base, app, target string, ci int) ([][]float64, int,
 	return g[best].genomes, best, true
 }
 
-// layer is one LRU + singleflight store. Values are opaque and immutable
-// once published.
+// layer is one store layer: an lru.Cache of opaque values, immutable once
+// published, plus the layer's metric names.
 type layer struct {
-	name string
-	obs  *obs.Scope
-	// onEvict, when set, observes evicted keys (under the layer lock:
+	name               string
+	obs                *obs.Scope
+	hits, misses, size string
+	// onEvict, when set, observes evicted keys (under the LRU lock:
 	// callbacks must not call back into the layer).
 	onEvict func(key string)
-
-	mu       sync.Mutex
-	max      int
-	ll       *list.List               // front = most recently used
-	entries  map[string]*list.Element // element value is *layerEntry
-	inflight map[string]*layerFill
-}
-
-type layerEntry struct {
-	key string
-	val any
-}
-
-// layerFill is one in-flight fill, shared by every concurrent request for
-// its key. done closes exactly once, after val/err are set.
-type layerFill struct {
-	done chan struct{}
-	val  any
-	err  error
+	c       *lru.Cache[string, any]
 }
 
 func newLayer(name string, max int, scope *obs.Scope) *layer {
-	return &layer{
-		name:     name,
-		obs:      scope,
-		max:      max,
-		ll:       list.New(),
-		entries:  map[string]*list.Element{},
-		inflight: map[string]*layerFill{},
-	}
+	l := &layer{name: name, obs: scope, hits: name + "_hits", misses: name + "_misses", size: name + "_size"}
+	l.c = lru.New(max, func(key string, _ any) {
+		if l.onEvict != nil {
+			l.onEvict(key)
+		}
+	})
+	return l
 }
+
+func (l *layer) len() int { return l.c.Len() }
 
 // getOrFill returns the value for key, serving the LRU, joining an
 // in-flight fill, or electing this caller the leader. The leader's fill
@@ -351,90 +329,38 @@ func newLayer(name string, max int, scope *obs.Scope) *layer {
 // up at its deadline, but the shared fill runs to completion so every
 // other request still gets the artifact. Failed fills are not cached.
 func (l *layer) getOrFill(ctx context.Context, key string, fill func() (any, error)) (any, error) {
-	l.mu.Lock()
-	if el, ok := l.entries[key]; ok {
-		l.ll.MoveToFront(el)
-		v := el.Value.(*layerEntry).val
-		l.mu.Unlock()
-		l.obs.Count(l.name+"_hits", 1)
-		return v, nil
+	v, call, leader := l.c.Lookup(key)
+	if !leader {
+		l.obs.Count(l.hits, 1)
+		if call == nil {
+			return v, nil
+		}
+		return call.Wait(ctx)
 	}
-	if f, ok := l.inflight[key]; ok {
-		l.mu.Unlock()
-		l.obs.Count(l.name+"_hits", 1)
-		return f.wait(ctx)
-	}
-	f := &layerFill{done: make(chan struct{})}
-	l.inflight[key] = f
-	l.mu.Unlock()
-	l.obs.Count(l.name+"_misses", 1)
-
+	l.obs.Count(l.misses, 1)
 	go func() {
 		v, err := fill()
-		l.mu.Lock()
-		f.val, f.err = v, err
-		delete(l.inflight, key)
-		if err == nil {
-			if el, ok := l.entries[key]; ok {
-				l.ll.MoveToFront(el)
-				el.Value.(*layerEntry).val = v
-			} else {
-				l.entries[key] = l.ll.PushFront(&layerEntry{key: key, val: v})
-				for l.ll.Len() > l.max {
-					oldest := l.ll.Back()
-					l.ll.Remove(oldest)
-					ev := oldest.Value.(*layerEntry).key
-					delete(l.entries, ev)
-					if l.onEvict != nil {
-						l.onEvict(ev)
-					}
-				}
-			}
-		}
-		size := l.ll.Len()
-		l.mu.Unlock()
-		l.obs.Gauge(l.name+"_size", float64(size))
-		close(f.done)
+		l.obs.Gauge(l.size, float64(l.c.Finish(key, call, v, err)))
 	}()
-	return f.wait(ctx)
+	return call.Wait(ctx)
 }
 
-// wait blocks for the fill under the caller's context.
-func (f *layerFill) wait(ctx context.Context) (any, error) {
-	select {
-	case <-f.done:
-		return f.val, f.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-func (l *layer) len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ll.Len()
-}
-
-// DebugKeys lists a layer's resident keys (tests). layerName is one of
-// "characterisation", "profile", "surrogate".
+// DebugKeys lists a layer's resident keys, sorted (tests). layerName is
+// one of "characterisation", "profile", "surrogate".
 func (s *Store) DebugKeys(layerName string) []string {
 	var l *layer
-	switch {
-	case strings.HasSuffix(s.chars.name, "."+layerName):
+	switch layerName {
+	case "characterisation":
 		l = s.chars
-	case strings.HasSuffix(s.profiles.name, "."+layerName):
+	case "profile":
 		l = s.profiles
-	case strings.HasSuffix(s.surrogate.name, "."+layerName):
+	case "surrogate":
 		l = s.surrogate
 	default:
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]string, 0, len(l.entries))
-	for k := range l.entries {
-		out = append(out, k)
-	}
+	out := make([]string, 0, l.c.Len())
+	l.c.Range(func(k string, _ any) { out = append(out, k) })
 	sort.Strings(out)
 	return out
 }
@@ -451,17 +377,18 @@ type Artifact struct {
 }
 
 // PutArtifact stores body under key in the replication vault. The vault is
-// content-addressed: a re-push of the same key with the same bytes is a
-// no-op counted as <prefix>.artifact_dups — neither the size gauge nor the
-// LRU order moves, which is what makes the owner's push retry-safe. A key
-// colliding with different bytes (possible only across incompatible
-// builds) overwrites and is counted as artifact_conflicts. Returns whether
-// the put changed the vault.
+// content-addressed and the first writer wins: a re-push of the same key
+// with the same bytes is a no-op counted as <prefix>.artifact_dups, and a
+// push of different bytes is refused and counted as artifact_conflicts.
+// Neither moves the size gauge or the LRU order, which is what makes the
+// owner's push retry-safe and a forged push unable to replace served
+// bytes. Returns whether the put changed the vault.
 func (s *Store) PutArtifact(key string, body []byte) bool {
 	if s == nil {
 		return false
 	}
-	return s.artifacts.put(key, body)
+	stored, _ := s.artifacts.put(key, body)
+	return stored
 }
 
 // GetArtifact returns the vault bytes for key. The returned slice is the
@@ -482,10 +409,11 @@ func (s *Store) ExportArtifacts() []Artifact {
 	return s.artifacts.export()
 }
 
-// ImportArtifact verifies sumHex against the body and stores it; a
-// mismatch is rejected (counted as artifact_rejects) so a corrupted
-// transfer can never poison the serving path. Returns whether the import
-// changed the vault.
+// ImportArtifact verifies sumHex against the body and stores it. A
+// checksum mismatch is rejected (counted as artifact_rejects) so a
+// corrupted transfer can never poison the serving path, and a conflict
+// with a resident artifact is an error too (the resident bytes stay).
+// Returns whether the import changed the vault.
 func (s *Store) ImportArtifact(a Artifact) (bool, error) {
 	if s == nil {
 		return false, nil
@@ -498,90 +426,59 @@ func (s *Store) ArtifactCount() int {
 	if s == nil {
 		return 0
 	}
-	return s.artifacts.len()
+	return s.artifacts.c.Len()
 }
 
 // artifactVault is the content-addressed byte store behind peer
-// replication: an LRU of (key, sha256, body) entries. Unlike the layers it
-// has no fill machinery — entries arrive whole over the wire.
+// replication: an LRU of (sha256, body) entries. Unlike the layers it has
+// no fill machinery — entries arrive whole over the wire.
 type artifactVault struct {
 	name string
 	obs  *obs.Scope
-
-	mu      sync.Mutex
-	max     int
-	ll      *list.List               // front = most recently used
-	entries map[string]*list.Element // element value is *vaultEntry
+	c    *lru.Cache[string, *vaultEntry]
 }
 
 type vaultEntry struct {
-	key  string
 	sum  [sha256.Size]byte
 	body []byte
 }
 
 func newArtifactVault(name string, max int, scope *obs.Scope) *artifactVault {
-	return &artifactVault{
-		name:    name,
-		obs:     scope,
-		max:     max,
-		ll:      list.New(),
-		entries: map[string]*list.Element{},
-	}
+	return &artifactVault{name: name, obs: scope, c: lru.New[string, *vaultEntry](max, nil)}
 }
 
-func (v *artifactVault) put(key string, body []byte) bool {
-	sum := sha256.Sum256(body)
-	v.mu.Lock()
-	if el, ok := v.entries[key]; ok {
-		e := el.Value.(*vaultEntry)
-		if e.sum == sum {
-			v.mu.Unlock()
-			v.obs.Count(v.name+"_dups", 1)
-			return false
-		}
-		e.sum, e.body = sum, append([]byte(nil), body...)
-		v.ll.MoveToFront(el)
-		v.mu.Unlock()
+func (v *artifactVault) put(key string, body []byte) (bool, error) {
+	e := &vaultEntry{sum: sha256.Sum256(body), body: append([]byte(nil), body...)}
+	resident, stored := v.c.Add(key, e)
+	switch {
+	case stored:
+		v.obs.Count(v.name+"_stores", 1)
+		v.obs.Gauge(v.name+"_size", float64(v.c.Len()))
+		return true, nil
+	case resident.sum == e.sum:
+		v.obs.Count(v.name+"_dups", 1)
+		return false, nil
+	default:
 		v.obs.Count(v.name+"_conflicts", 1)
-		return true
+		return false, fmt.Errorf("artifact %q conflicts with the resident bytes", key)
 	}
-	v.entries[key] = v.ll.PushFront(&vaultEntry{key: key, sum: sum, body: append([]byte(nil), body...)})
-	for v.ll.Len() > v.max {
-		oldest := v.ll.Back()
-		v.ll.Remove(oldest)
-		delete(v.entries, oldest.Value.(*vaultEntry).key)
-	}
-	size := v.ll.Len()
-	v.mu.Unlock()
-	v.obs.Count(v.name+"_stores", 1)
-	v.obs.Gauge(v.name+"_size", float64(size))
-	return true
 }
 
 func (v *artifactVault) get(key string) ([]byte, bool) {
-	v.mu.Lock()
-	el, ok := v.entries[key]
+	e, ok := v.c.Get(key)
 	if !ok {
-		v.mu.Unlock()
 		v.obs.Count(v.name+"_misses", 1)
 		return nil, false
 	}
-	v.ll.MoveToFront(el)
-	body := el.Value.(*vaultEntry).body
-	v.mu.Unlock()
 	v.obs.Count(v.name+"_hits", 1)
-	return body, true
+	return e.body, true
 }
 
 func (v *artifactVault) export() []Artifact {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	out := make([]Artifact, 0, v.ll.Len())
-	for el := v.ll.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*vaultEntry)
-		out = append(out, Artifact{Key: e.key, Sum: hex.EncodeToString(e.sum[:]), Body: e.body})
-	}
+	out := make([]Artifact, 0, v.c.Len())
+	v.c.Range(func(key string, e *vaultEntry) {
+		out = append(out, Artifact{Key: key, Sum: hex.EncodeToString(e.sum[:]), Body: e.body})
+	})
 	return out
 }
 
@@ -591,11 +488,5 @@ func (v *artifactVault) importOne(a Artifact) (bool, error) {
 		v.obs.Count(v.name+"_rejects", 1)
 		return false, fmt.Errorf("artifact %q checksum mismatch", a.Key)
 	}
-	return v.put(a.Key, a.Body), nil
-}
-
-func (v *artifactVault) len() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.ll.Len()
+	return v.put(a.Key, a.Body)
 }

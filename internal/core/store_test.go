@@ -183,7 +183,7 @@ func TestLayerKeysCollisionFree(t *testing.T) {
 // prove each group key still fills exactly once and every caller observes
 // its own group's artifact.
 func TestStoreGroupedFillConcurrentEvictionChaos(t *testing.T) {
-	s := NewStore(StoreConfig{SurrogateCap: 2})
+	s := newStore(StoreConfig{}, characterisationCap, profileCap, 2, artifactCap)
 	const groups = 4
 	var fills [groups]atomic.Int64
 	var wg sync.WaitGroup
@@ -283,7 +283,7 @@ func TestCharacterisationFillKeyNamespace(t *testing.T) {
 // surrogate layer: when the LRU evicts an entry, its seeds leave the index
 // too, so warm-starts never resurrect genomes the store no longer holds.
 func TestStoreEvictionPrunesWarmIndex(t *testing.T) {
-	s := NewStore(StoreConfig{SurrogateCap: 2})
+	s := newStore(StoreConfig{}, characterisationCap, profileCap, 2, artifactCap)
 	fill := func(ci int) func() (*surrogateEntry, error) {
 		return func() (*surrogateEntry, error) {
 			return &surrogateEntry{genomes: [][]float64{{float64(ci)}}}, nil

@@ -21,7 +21,7 @@ func vaultCounter(scope *obs.Scope, name string) int64 {
 // recency, or retried pushes would distort eviction).
 func TestArtifactVaultDupPushIsNoOp(t *testing.T) {
 	scope := obs.New("test")
-	s := NewStore(StoreConfig{ArtifactCap: 2, Obs: scope})
+	s := newStore(StoreConfig{Obs: scope}, characterisationCap, profileCap, surrogateCap, 2)
 	body := []byte(`{"result":1}` + "\n")
 
 	if !s.PutArtifact("a", body) {
@@ -55,25 +55,32 @@ func TestArtifactVaultDupPushIsNoOp(t *testing.T) {
 	}
 }
 
-// TestArtifactVaultConflictOverwrites covers the same-key-different-bytes
-// case (possible only across incompatible builds): the newer bytes win and
-// the event is counted distinctly from stores and dups.
-func TestArtifactVaultConflictOverwrites(t *testing.T) {
+// TestArtifactVaultConflictKeepsFirst covers the same-key-different-bytes
+// case: the first writer wins, so a forged or stale push cannot replace
+// the bytes a replica serves. The conflict is counted distinctly from
+// stores and dups, and an import of the conflicting artifact is an error.
+func TestArtifactVaultConflictKeepsFirst(t *testing.T) {
 	scope := obs.New("test")
 	s := NewStore(StoreConfig{Obs: scope})
 	s.PutArtifact("k", []byte("old"))
-	if !s.PutArtifact("k", []byte("new")) {
-		t.Fatal("conflicting put reported no change")
+	if s.PutArtifact("k", []byte("new")) {
+		t.Error("conflicting put reported a change")
+	}
+	if stored, err := s.ImportArtifact(Artifact{Key: "k", Body: []byte("new")}); stored || err == nil {
+		t.Errorf("conflicting import: stored=%t err=%v, want rejection", stored, err)
 	}
 	got, ok := s.GetArtifact("k")
-	if !ok || !bytes.Equal(got, []byte("new")) {
-		t.Errorf("GetArtifact after conflict = %q, %t; want \"new\", true", got, ok)
+	if !ok || !bytes.Equal(got, []byte("old")) {
+		t.Errorf("GetArtifact after conflict = %q, %t; want \"old\", true", got, ok)
 	}
 	if n := s.ArtifactCount(); n != 1 {
 		t.Errorf("vault holds %d entries, want 1", n)
 	}
-	if n := vaultCounter(scope, "core.store.artifact_conflicts"); n != 1 {
-		t.Errorf("artifact_conflicts = %d, want 1", n)
+	if n := vaultCounter(scope, "core.store.artifact_conflicts"); n != 2 {
+		t.Errorf("artifact_conflicts = %d, want 2", n)
+	}
+	if n := vaultCounter(scope, "core.store.artifact_stores"); n != 1 {
+		t.Errorf("artifact_stores = %d, want 1", n)
 	}
 }
 

@@ -184,7 +184,7 @@ func (s *Server) runBatchItem(parent context.Context, wk batchWork) batchEntry {
 	}
 	ctx, cancel := context.WithTimeout(parent, s.timeoutFor(wk.body))
 	defer cancel()
-	res, hit, err := s.evaluate(ctx, wk.spec.op, key, wk.req)
+	e, hit, err := s.evaluate(ctx, wk.spec.op, key, wk.req)
 	if err != nil {
 		status, _ := s.errorStatus(err)
 		return batchEntry{Index: wk.idx, Status: status, Error: err.Error()}
@@ -194,13 +194,13 @@ func (s *Server) runBatchItem(parent context.Context, wk batchWork) batchEntry {
 	} else {
 		s.obs.Count("server.cache.result_misses", 1)
 	}
-	out, err := s.cache.renderedBytes(key, wk.spec.ep, res, wk.spec.render)
+	out, err := e.bytes(wk.spec.ep, wk.spec.render)
 	if err != nil {
 		s.obs.Count("server.errors", 1)
 		return batchEntry{Index: wk.idx, Status: http.StatusInternalServerError, Error: err.Error()}
 	}
 	if !hit {
-		s.maybeReplicate(key, wk.spec.ep, wk.spec.endpoint, res, wk.req, wk.spec.render)
+		s.maybeReplicate(key, e, wk.spec.ep, wk.spec.endpoint, wk.req, wk.spec.render)
 	}
 	// The endpoints terminate their documents with '\n'; embedded JSON
 	// cannot carry it, so entries hold the document body alone.

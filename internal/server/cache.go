@@ -1,10 +1,9 @@
 package server
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"strconv"
-	"sync"
+	"sync/atomic"
 
 	swapp "repro"
 )
@@ -54,132 +53,27 @@ const (
 	numEndpoints
 )
 
-// call is one in-flight evaluation, shared by every request that arrived
-// while it ran. done closes exactly once, after res/err are set.
-type call struct {
-	done chan struct{}
-	res  *swapp.Result
-	err  error
-}
-
-// cache is the result store: an LRU over finished evaluations plus a
-// singleflight table collapsing duplicate in-flight ones. Entries hold
-// *swapp.Result values, which are immutable once published, plus the
-// rendered wire bytes per endpoint — rendered at most once per (entry,
-// endpoint) and served as-is on every later hit, so the hot path never
-// re-marshals a projection.
-type cache struct {
-	mu       sync.Mutex
-	max      int
-	ll       *list.List                 // front = most recently used
-	entries  map[cacheKey]*list.Element // key → element; element value is *entry
-	inflight map[cacheKey]*call
-}
-
-// entry is one LRU element's payload.
+// entry is one finished evaluation: its *swapp.Result, immutable once
+// published, plus the rendered wire bytes per endpoint — rendered at most
+// once per (entry, endpoint) and served as-is on every later hit, so the
+// hot path never re-marshals a projection.
 type entry struct {
-	key      cacheKey
 	res      *swapp.Result
-	rendered [numEndpoints][]byte
+	rendered [numEndpoints]atomic.Pointer[[]byte]
 }
 
-func newCache(max int) *cache {
-	if max < 1 {
-		max = 1
+// bytes returns the entry's wire bytes for endpoint ep, rendering via
+// render on the slot's first use. Rendering is a pure function of the
+// immutable result, so concurrent first renders produce identical bytes
+// and last-write-wins is benign.
+func (e *entry) bytes(ep int, render func(*swapp.Result) ([]byte, error)) ([]byte, error) {
+	if b := e.rendered[ep].Load(); b != nil {
+		return *b, nil
 	}
-	return &cache{
-		max:      max,
-		ll:       list.New(),
-		entries:  map[cacheKey]*list.Element{},
-		inflight: map[cacheKey]*call{},
+	b, err := render(e.res)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// get returns the cached result for key, refreshing its recency.
-func (c *cache) get(key cacheKey) (*swapp.Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*entry).res, true
-}
-
-// renderedBytes returns the wire bytes for (key, ep), rendering via render
-// at most once per slot: a hit serves the stored bytes with zero
-// marshalling work. Rendering runs outside the lock (it is a pure function
-// of the immutable result); concurrent first-renders produce identical
-// bytes, so last-write-wins is benign. When the entry has been evicted the
-// bytes are rendered and returned uncached.
-func (c *cache) renderedBytes(key cacheKey, ep int, res *swapp.Result, render func(*swapp.Result) ([]byte, error)) ([]byte, error) {
-	c.mu.Lock()
-	el, ok := c.entries[key]
-	if ok {
-		if b := el.Value.(*entry).rendered[ep]; b != nil {
-			c.mu.Unlock()
-			return b, nil
-		}
-	}
-	c.mu.Unlock()
-	b, err := render(res)
-	if err != nil || !ok {
-		return b, err
-	}
-	c.mu.Lock()
-	if el, still := c.entries[key]; still {
-		el.Value.(*entry).rendered[ep] = b
-	}
-	c.mu.Unlock()
+	e.rendered[ep].Store(&b)
 	return b, nil
-}
-
-// join returns the in-flight call for key, creating it if absent. leader
-// is true for the creator, who must run the evaluation and finish it;
-// everyone else waits on call.done.
-func (c *cache) join(key cacheKey) (cl *call, leader bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cl, ok := c.inflight[key]; ok {
-		return cl, false
-	}
-	cl = &call{done: make(chan struct{})}
-	c.inflight[key] = cl
-	return cl, true
-}
-
-// finish publishes the leader's outcome: successful results enter the LRU,
-// the in-flight slot is cleared either way, and every waiter is released.
-// It returns the resulting entry count (for the size gauge).
-func (c *cache) finish(key cacheKey, cl *call, res *swapp.Result, err error) int {
-	c.mu.Lock()
-	cl.res, cl.err = res, err
-	delete(c.inflight, key)
-	if err == nil {
-		if el, ok := c.entries[key]; ok {
-			c.ll.MoveToFront(el)
-			e := el.Value.(*entry)
-			e.res = res
-			e.rendered = [numEndpoints][]byte{}
-		} else {
-			c.entries[key] = c.ll.PushFront(&entry{key: key, res: res})
-			for c.ll.Len() > c.max {
-				oldest := c.ll.Back()
-				c.ll.Remove(oldest)
-				delete(c.entries, oldest.Value.(*entry).key)
-			}
-		}
-	}
-	n := c.ll.Len()
-	c.mu.Unlock()
-	close(cl.done)
-	return n
-}
-
-// len reports the number of cached results.
-func (c *cache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }

@@ -393,3 +393,70 @@ func TestReplicateIdempotent(t *testing.T) {
 		t.Errorf("rejected pushes changed the vault: %d entries, want 1", n)
 	}
 }
+
+// TestReplicateConflictKeepsFirst proves one forged push cannot replace
+// the bytes a replica serves: a second push of different bytes for a
+// resident key is rejected (400, cluster.replica_rejects), and warm
+// failover keeps serving the first bytes.
+func TestReplicateConflictKeepsFirst(t *testing.T) {
+	scope := obs.New("test")
+	s := New(Config{Workers: 2, Obs: scope, Eval: (&stubEval{}).fn,
+		Self: "http://127.0.0.1:1", Peers: []string{"http://127.0.0.1:2"}})
+	ts := newHTTPServer(t, s)
+
+	req, err := evalRequest(APIRequest{Target: "power6-575", Bench: "BT-MZ", Class: "C", Ranks: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := digest(opProject, req, false)
+	push := func(body string) (int, []byte) {
+		sum := sha256.Sum256([]byte(body))
+		payload, err := json.Marshal(replicaMsg{
+			Key:      hex.EncodeToString(key[:]),
+			Endpoint: "/v1/project",
+			Sum:      hex.EncodeToString(sum[:]),
+			Body:     []byte(body),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, _, out := post(t, ts.URL+"/v1/replicate", string(payload))
+		return code, out
+	}
+
+	first := `{"projection":1}` + "\n"
+	if code, out := push(first); code != 200 {
+		t.Fatalf("first push: %d %s", code, out)
+	}
+	if code, out := push(`{"projection":"forged"}` + "\n"); code != 400 {
+		t.Fatalf("conflicting push: %d %s, want 400", code, out)
+	}
+	if n := counter(scope, "cluster.replica_rejects"); n != 1 {
+		t.Errorf("cluster.replica_rejects = %d, want 1", n)
+	}
+	if n := counter(scope, "server.cache.artifact_conflicts"); n != 1 {
+		t.Errorf("server.cache.artifact_conflicts = %d, want 1", n)
+	}
+	rec := httptest.NewRecorder()
+	if !s.replicaServe(rec, key, "/v1/project") {
+		t.Fatal("replicaServe found no replicated bytes")
+	}
+	if got := rec.Body.String(); got != first {
+		t.Errorf("replicaServe = %q, want the first push %q", got, first)
+	}
+}
+
+// TestReplicateOversizedBody proves the replicate decoder is bounded: a
+// body beyond maxReplicateBody answers 413 and stores nothing.
+func TestReplicateOversizedBody(t *testing.T) {
+	s := New(Config{Workers: 2, Eval: (&stubEval{}).fn})
+	ts := newHTTPServer(t, s)
+	payload := `{"key":"` + strings.Repeat("ab", sha256.Size) + `","endpoint":"/v1/project","body":"` +
+		strings.Repeat("A", maxReplicateBody) + `"}`
+	if code, _, out := post(t, ts.URL+"/v1/replicate", payload); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized push: %d %s, want 413", code, out)
+	}
+	if n := s.store.ArtifactCount(); n != 0 {
+		t.Errorf("oversized push landed: vault holds %d entries", n)
+	}
+}

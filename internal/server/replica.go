@@ -29,6 +29,14 @@ import (
 // rather than retried forever — the fallback is plain recomputation.
 const replicatePushTimeout = 5 * time.Second
 
+// maxReplicateBody bounds one POST /v1/replicate body, in bytes. The
+// largest rendered /v1/validate document is about 2.9 KB (the three NAS-MZ
+// apps at class C, 16 ranks, on power6-575 and bgp); base64 inflates it
+// to about 3.9 KB inside the message, so 64 KiB leaves roughly 22× the
+// document's size while keeping one forged push from buffering
+// unbounded memory.
+const maxReplicateBody = 64 << 10
+
 // replicaMsg is the POST /v1/replicate body: the result-cache key (hex),
 // the producing endpoint, a sha256 of the body, and the rendered bytes.
 type replicaMsg struct {
@@ -77,9 +85,8 @@ func (s *Server) replicaServe(w http.ResponseWriter, key cacheKey, endpoint stri
 // group's ring successor. Only locally owned groups replicate — a fallback
 // computation on a non-owner is already a degraded path and its successor
 // would be wrong. The push runs in the background (WaitReplication joins
-// it); rendering reuses the cache's memoised bytes, so the hot path pays
-// one map lookup.
-func (s *Server) maybeReplicate(key cacheKey, ep int, endpoint string, res *swapp.Result, req swapp.Request, render func(*swapp.Result) ([]byte, error)) {
+// it); rendering reuses the entry's memoised bytes.
+func (s *Server) maybeReplicate(key cacheKey, e *entry, ep int, endpoint string, req swapp.Request, render func(*swapp.Result) ([]byte, error)) {
 	if s.peers == nil || s.store == nil {
 		return
 	}
@@ -91,7 +98,7 @@ func (s *Server) maybeReplicate(key cacheKey, ep int, endpoint string, res *swap
 	if succ == nil {
 		return
 	}
-	body, err := s.cache.renderedBytes(key, ep, res, render)
+	body, err := e.bytes(ep, render)
 	if err != nil {
 		return
 	}
@@ -125,8 +132,10 @@ func (s *Server) WaitReplication() { s.replWG.Wait() }
 // handleReplicate serves POST /v1/replicate: verify the checksum and store
 // the pushed bytes in the artifact vault. Idempotent by construction — a
 // duplicate of a resident artifact changes neither counters' meaning nor
-// the vault size (counted as cluster.replica_dups); a checksum mismatch is
-// rejected so a corrupted push can never poison the serving path.
+// the vault size (counted as cluster.replica_dups). A checksum mismatch,
+// or different bytes for a resident key, is rejected (the first writer
+// wins) so a corrupted or forged push can never replace served bytes. A
+// body beyond maxReplicateBody answers 413.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	s.obs.Count("server.requests", 1)
 	s.obs.Count("server.requests./v1/replicate", 1)
@@ -140,10 +149,15 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var msg replicaMsg
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxReplicateBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&msg); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding replica: %w", err))
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("decoding replica: %w", err))
 		return
 	}
 	if len(msg.Key) != 2*sha256.Size || msg.Endpoint == "" || len(msg.Body) == 0 {

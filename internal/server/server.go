@@ -45,6 +45,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/lru"
 	"repro/internal/nas"
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -188,11 +189,11 @@ type Server struct {
 	cfg     Config
 	obs     *obs.Scope
 	eval    EvalFunc
-	cache   *cache
-	store   *core.Store      // shared layered artifact cache; nil when disabled
-	breaker *breaker         // nil when disabled
-	peers   *peerSet         // nil when peer-aware mode is off
-	jobs    *cluster.Manager // async jobs API
+	cache   *lru.Cache[cacheKey, *entry] // finished results; collapses duplicate in-flight ones
+	store   *core.Store                  // shared layered artifact cache; nil when disabled
+	breaker *breaker                     // nil when disabled
+	peers   *peerSet                     // nil when peer-aware mode is off
+	jobs    *cluster.Manager             // async jobs API
 
 	journal *cluster.Journal // durable job journal; nil without DataDir
 
@@ -239,7 +240,7 @@ func New(cfg Config) *Server {
 		cfg:   cfg,
 		obs:   cfg.Obs,
 		eval:  cfg.Eval,
-		cache: newCache(cfg.CacheSize),
+		cache: lru.New[cacheKey, *entry](cfg.CacheSize, nil),
 		sem:   make(chan struct{}, cfg.Workers),
 	}
 	if !cfg.DisableLayeredCache {
@@ -405,9 +406,9 @@ func (s *Server) handleEval(op, endpoint string, ep int, render func(*swapp.Resu
 		// the memoised bytes without allocating a timer context.
 		key := digest(op, req, s.cfg.WarmStart)
 		start := time.Now()
-		if res, ok := s.cache.get(key); ok {
+		if e, ok := s.cache.Get(key); ok {
 			s.obs.Observe("server.request_seconds", time.Since(start).Seconds())
-			s.writeResult(w, key, ep, res, true, render)
+			s.writeResult(w, e, ep, true, render)
 			return
 		}
 
@@ -431,7 +432,7 @@ func (s *Server) handleEval(op, endpoint string, ep int, render func(*swapp.Resu
 		ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(body))
 		defer cancel()
 
-		res, hit, err := s.evaluate(ctx, op, key, req)
+		e, hit, err := s.evaluate(ctx, op, key, req)
 		s.obs.Observe("server.request_seconds", time.Since(start).Seconds())
 		if err != nil {
 			status, retryAfter := s.errorStatus(err)
@@ -441,9 +442,9 @@ func (s *Server) handleEval(op, endpoint string, ep int, render func(*swapp.Resu
 			writeError(w, status, err)
 			return
 		}
-		s.writeResult(w, key, ep, res, hit, render)
+		s.writeResult(w, e, ep, hit, render)
 		if !hit {
-			s.maybeReplicate(key, ep, endpoint, res, req, render)
+			s.maybeReplicate(key, e, ep, endpoint, req, render)
 		}
 	}
 }
@@ -487,13 +488,13 @@ func (s *Server) errorStatus(err error) (status int, retryAfter string) {
 
 // writeResult serves one finished result: per-layer hit/miss accounting,
 // memoised rendering, headers, body.
-func (s *Server) writeResult(w http.ResponseWriter, key cacheKey, ep int, res *swapp.Result, hit bool, render func(*swapp.Result) ([]byte, error)) {
+func (s *Server) writeResult(w http.ResponseWriter, e *entry, ep int, hit bool, render func(*swapp.Result) ([]byte, error)) {
 	if hit {
 		s.obs.Count("server.cache.result_hits", 1)
 	} else {
 		s.obs.Count("server.cache.result_misses", 1)
 	}
-	out, err := s.cache.renderedBytes(key, ep, res, render)
+	out, err := e.bytes(ep, render)
 	if err != nil {
 		s.obs.Count("server.errors", 1)
 		writeError(w, http.StatusInternalServerError, err)
@@ -525,31 +526,27 @@ func retryAfterSeconds(d time.Duration) string {
 
 // evaluate resolves one (op, request) under its precomputed cache key:
 // serve a finished result, join an in-flight evaluation, or become the
-// leader — pass admission control and run the evaluation through the
-// shared layered store. hit reports a result-cache hit.
-func (s *Server) evaluate(ctx context.Context, op string, key cacheKey, req swapp.Request) (res *swapp.Result, hit bool, err error) {
-	if res, ok := s.cache.get(key); ok {
-		return res, true, nil
+// leader — pass admission control and run the evaluation inline, under
+// ctx, through the shared layered store. hit reports a result-cache hit.
+func (s *Server) evaluate(ctx context.Context, op string, key cacheKey, req swapp.Request) (e *entry, hit bool, err error) {
+	e, cl, leader := s.cache.Lookup(key)
+	if cl == nil {
+		return e, true, nil
 	}
-	cl, leader := s.cache.join(key)
 	if !leader {
 		// Someone is already computing this result; wait for them under
 		// our own deadline.
-		select {
-		case <-cl.done:
-			return cl.res, false, cl.err
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
+		e, err = cl.Wait(ctx)
+		return e, false, err
 	}
 	if ra, ok := s.breaker.allow(); !ok {
 		err := &breakerOpenError{retryAfter: ra}
-		s.cache.finish(key, cl, nil, err)
+		s.cache.Finish(key, cl, nil, err)
 		return nil, false, err
 	}
 	if err := s.admit(ctx); err != nil {
 		s.breaker.record(err) // queue-full and ctx errors are neutral
-		s.cache.finish(key, cl, nil, err)
+		s.cache.Finish(key, cl, nil, err)
 		return nil, false, err
 	}
 	s.obs.Gauge("server.inflight", float64(s.inflight.Add(1)))
@@ -563,13 +560,16 @@ func (s *Server) evaluate(ctx context.Context, op string, key cacheKey, req swap
 		evalReq.Obs = sp
 		defer sp.End()
 	}
-	res, err = s.runEval(ctx, op, evalReq)
+	res, err := s.runEval(ctx, op, evalReq)
 	s.obs.Gauge("server.inflight", float64(s.inflight.Add(-1)))
 	<-s.sem
 	s.breaker.record(err)
-	n := s.cache.finish(key, cl, res, err)
+	if err == nil {
+		e = &entry{res: res}
+	}
+	n := s.cache.Finish(key, cl, e, err)
 	s.obs.Gauge("server.cache.result_size", float64(n))
-	return res, false, err
+	return e, false, err
 }
 
 // runEval runs one evaluation with panic isolation: a panic anywhere in
@@ -646,7 +646,7 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 // CacheLen reports the number of cached results (tests, /readyz probes).
-func (s *Server) CacheLen() int { return s.cache.len() }
+func (s *Server) CacheLen() int { return s.cache.Len() }
 
 // StoreSizes reports the layered store's per-layer entry counts
 // (characterisations, profiles, surrogates). All zero when the layered
