@@ -1,9 +1,10 @@
-// Command swappbench is the serving-layer load generator and benchmark
-// harness for swappd: it drives the projection service with configurable
-// concurrency and a mix of request distributions — cache-cold, shared-base
-// warm, cache-hot, degraded-input — and reports per-scenario latency
-// percentiles (p50/p95/p99), saturation throughput, allocations per
-// request, and resident set size into a versioned BENCH_swappd.json.
+// Command swappbench is the serving-layer load generator for swappd: it
+// drives the projection service with a fixed mix of request
+// distributions — cache-cold, shared-base warm, cache-hot, degraded-input
+// and peer-replica batches — and reports per-scenario latency percentiles
+// (p50/p95/p99), saturation throughput, allocations per request, request
+// errors and resident set size in the BENCH_swappd.json format.
+// cmd/benchstatgate gates a report against the committed baseline.
 //
 // Modelled on golang/benchmarks' driver/http harness: the default mode
 // hosts the server in-process on a loopback listener (so allocation and
@@ -14,9 +15,8 @@
 // Usage:
 //
 //	swappbench                        # full run, JSON to stdout
-//	swappbench -out BENCH_swappd.json # write the versioned baseline
-//	swappbench -gate BENCH_swappd.json -max-regress 20
-//	                                  # regression gate against a committed baseline
+//	swappbench -out BENCH_swappd.json # rewrite the committed baseline
+//	swappbench -addr localhost:8080   # drive an external swappd
 //
 // Scenarios (fresh server per scenario in in-process mode):
 //
@@ -31,6 +31,10 @@
 //	                  is one /v1/batch whose groups hash across the ring
 //	cluster-scaling-{2,4,8}  the same grouped batch measured at 2, 4 and 8
 //	                  peer-wired replicas — the ring-size scaling curve
+//
+// External mode runs only shared-base-warm and cache-hot: a remote store
+// cannot be disabled, faults cannot be armed in another process, and the
+// replicas of the batch scenarios are hosted in-process.
 package main
 
 import (
@@ -52,6 +56,18 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/server"
+)
+
+// The load shape is fixed, and the scenario sizes equal the committed
+// baseline's: every run measures every BENCH_swappd.json row at its
+// baseline request count, which the gate requires.
+const (
+	concurrency = 4   // client workers
+	hotN        = 200 // cache-hot repetitions
+	multiN      = 8   // multi-replica-batch round-trips
+	scalingN    = 12  // round-trips per cluster-scaling scenario
+	cacheSize   = 128 // in-process result-cache capacity
+	reqTimeout  = 5 * time.Minute
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -119,21 +135,6 @@ type runConfig struct {
 	Mode        string `json:"mode"` // "in-process" or the external address
 }
 
-// comparison derives the headline claims from one run (and optionally a
-// baseline): the shared-base-warm speedup over cache-cold, and the
-// serving-path allocation change against the pre-layered-cache harness run.
-type comparison struct {
-	ColdP50OverWarmP50 float64            `json:"cold_p50_over_warm_p50,omitempty"`
-	AllocsChangePct    map[string]float64 `json:"allocs_per_op_change_pct_vs_baseline,omitempty"`
-	P50ChangePct       map[string]float64 `json:"p50_change_pct_vs_baseline,omitempty"`
-}
-
-type baselineBlock struct {
-	Note        string           `json:"note"`
-	Environment environment      `json:"environment"`
-	Scenarios   []scenarioResult `json:"scenarios"`
-}
-
 // benchFile is the versioned BENCH_swappd.json document.
 type benchFile struct {
 	Version     int              `json:"version"`
@@ -141,53 +142,44 @@ type benchFile struct {
 	Environment environment      `json:"environment"`
 	Config      runConfig        `json:"config"`
 	Scenarios   []scenarioResult `json:"scenarios"`
-	Comparison  *comparison      `json:"comparison,omitempty"`
-	Baseline    *baselineBlock   `json:"baseline,omitempty"`
-	// Notes carries free-form context attached at run time (-note), e.g.
-	// companion external-mode measurements that don't fit the scenario
-	// schema.
-	Notes []string `json:"notes,omitempty"`
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("swappbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr       = fs.String("addr", "", "drive an external swappd at this address instead of hosting in-process")
-		conc       = fs.Int("c", 4, "client concurrency")
-		cold       = fs.Int("cold", 5, "cache-cold requests (0 disables the scenario, max 9 distinct)")
-		warm       = fs.Int("warm", 10, "shared-base-warm requests (0 disables, max 10 distinct)")
-		hot        = fs.Int("hot", 200, "cache-hot requests (0 disables)")
-		degraded   = fs.Int("degraded", 3, "degraded-input requests (0 disables, max 3 distinct; in-process only)")
-		multi      = fs.Int("multi", 8, "multi-replica /v1/batch round-trips across 3 peer-wired replicas (0 disables; in-process only)")
-		scaling    = fs.Int("scaling", 0, "cluster-scaling /v1/batch round-trips, measured at 2, 4 and 8 peer-wired replicas (0 disables; in-process only)")
-		cacheSize  = fs.Int("cache", 128, "server result-cache capacity (in-process mode)")
-		evalW      = fs.Int("eval-workers", 0, "engine pool per evaluation (in-process mode)")
-		timeout    = fs.Duration("timeout", 5*time.Minute, "per-request client timeout")
-		out        = fs.String("out", "-", "write the JSON report here (- = stdout)")
-		mergeBase  = fs.String("merge-baseline", "", "embed this prior run's scenarios as the baseline block and compute deltas")
-		gate       = fs.String("gate", "", "compare this run against a committed BENCH_swappd.json and fail on regression")
-		gateStrict = fs.Bool("gate-strict", false, "with -gate, also fail when this run covers fewer scenarios than the baseline (CI coverage guard)")
-		maxRegr    = fs.Float64("max-regress", 20, "max tolerated allocs-per-op regression, percent (-gate)")
-		maxLatRegr = fs.Float64("max-latency-regress", 50, "max tolerated p50 latency regression, percent (-gate); looser than -max-regress because wall-clock on a time-shared host swings tens of percent run to run while allocs/op is near-deterministic")
-		cpuProf    = fs.String("cpuprofile", "", "write a per-scenario CPU profile to <prefix>.<scenario>.pb.gz (in-process mode)")
-		memProf    = fs.String("memprofile", "", "write a per-scenario allocation profile to <prefix>.<scenario>.pb.gz (in-process mode)")
+		addr    = fs.String("addr", "", "drive an external swappd at this address instead of hosting in-process")
+		out     = fs.String("out", "-", "write the JSON report here (- = stdout)")
+		cpuProf = fs.String("cpuprofile", "", "write a per-scenario CPU profile to <prefix>.<scenario>.pb.gz (in-process mode)")
+		memProf = fs.String("memprofile", "", "write a per-scenario allocation profile to <prefix>.<scenario>.pb.gz (in-process mode)")
 	)
-	var notes []string
-	fs.Func("note", "attach a free-form note to the report (repeatable)", func(v string) error {
-		notes = append(notes, v)
-		return nil
-	})
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	scenarios := buildScenarios(*cold, *warm, *hot, *degraded, *multi, *scaling, *addr != "")
-	if len(scenarios) == 0 {
-		fmt.Fprintln(stderr, "swappbench: all scenarios disabled")
+	if (*cpuProf != "" || *memProf != "") && *addr != "" {
+		fmt.Fprintln(stderr, "swappbench: -cpuprofile/-memprofile profile this process; they are only meaningful in in-process mode")
 		return 2
 	}
+	prof := profileConfig{cpuPrefix: *cpuProf, memPrefix: *memProf}
 
+	scenarios := buildScenarios(*addr != "")
+	config := runConfig{Concurrency: concurrency, Mode: modeName(*addr)}
+	for _, sc := range scenarios {
+		switch n := measuredCount(sc); sc.name {
+		case "cache-cold":
+			config.Cold = n
+		case "shared-base-warm":
+			config.Warm = n
+		case "cache-hot":
+			config.Hot = n
+		case "degraded-input":
+			config.Degraded = n
+		case "multi-replica-batch":
+			config.Multi = n
+		default:
+			config.Scaling = n
+		}
+	}
 	doc := &benchFile{
 		Version: 1,
 		Description: "swappd serving-layer baseline: per-scenario latency percentiles, " +
@@ -201,44 +193,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 			CPUs: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
 			Go: runtime.Version(),
 		},
-		Config: runConfig{
-			Concurrency: *conc, Cold: *cold, Warm: *warm, Hot: *hot, Degraded: *degraded,
-			Multi: *multi, Scaling: *scaling,
-			Mode: modeName(*addr),
-		},
-		Notes: notes,
+		Config: config,
 	}
-
-	if (*cpuProf != "" || *memProf != "") && *addr != "" {
-		fmt.Fprintln(stderr, "swappbench: -cpuprofile/-memprofile profile this process; they are only meaningful in in-process mode")
-		return 2
-	}
-	prof := profileConfig{cpuPrefix: *cpuProf, memPrefix: *memProf}
 
 	for _, sc := range scenarios {
-		fmt.Fprintf(stderr, "swappbench: scenario %s (%d requests, c=%d)\n", sc.name, measuredCount(sc), *conc)
-		res, err := runScenario(sc, *addr, *conc, *cacheSize, *evalW, *timeout, prof)
+		fmt.Fprintf(stderr, "swappbench: scenario %s (%d requests, c=%d)\n", sc.name, measuredCount(sc), concurrency)
+		res, err := runScenario(sc, *addr, prof)
 		if err != nil {
 			fmt.Fprintf(stderr, "swappbench: scenario %s: %v\n", sc.name, err)
 			return 1
 		}
 		doc.Scenarios = append(doc.Scenarios, *res)
-	}
-	doc.Comparison = compare(doc.Scenarios, nil)
-
-	if *mergeBase != "" {
-		prior, err := loadBench(*mergeBase)
-		if err != nil {
-			fmt.Fprintf(stderr, "swappbench: -merge-baseline: %v\n", err)
-			return 1
-		}
-		doc.Baseline = &baselineBlock{
-			Note: "pre-layered-cache run of the same harness (monolithic result cache only), " +
-				"kept as the comparison point for the allocs/op and latency deltas below",
-			Environment: prior.Environment,
-			Scenarios:   prior.Scenarios,
-		}
-		doc.Comparison = compare(doc.Scenarios, prior.Scenarios)
 	}
 
 	b, err := json.MarshalIndent(doc, "", "  ")
@@ -252,18 +217,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else if err := os.WriteFile(*out, b, 0o644); err != nil {
 		fmt.Fprintf(stderr, "swappbench: %v\n", err)
 		return 1
-	}
-
-	if *gate != "" {
-		committed, err := loadBench(*gate)
-		if err != nil {
-			fmt.Fprintf(stderr, "swappbench: -gate: %v\n", err)
-			return 1
-		}
-		if !gateCheck(stderr, doc, committed, *maxRegr, *maxLatRegr, *gateStrict) {
-			return 1
-		}
-		fmt.Fprintln(stderr, "swappbench: gate passed")
 	}
 	return 0
 }
@@ -282,10 +235,11 @@ func measuredCount(sc scenario) int {
 	return len(sc.reqs)
 }
 
-// scalingBatch is the fixed workload of the cluster-scaling scenarios: six
-// requests spanning three ring groups, identical at every replica count so
-// the only variable across cluster-scaling-2/4/8 is the ring size itself.
-var scalingBatch = []apiReq{
+// ringBatch is the fixed workload of the batch scenarios: six requests
+// spanning three ring groups, identical at every replica count so the
+// only variable across multi-replica-batch and cluster-scaling-2/4/8 is
+// the ring size itself.
+var ringBatch = []apiReq{
 	{Target: "bgp", Bench: "BT-MZ", Class: "C", Ranks: 16},
 	{Target: "bgp", Bench: "SP-MZ", Class: "C", Ranks: 16},
 	{Target: "power6-575", Bench: "BT-MZ", Class: "C", Ranks: 16},
@@ -294,104 +248,80 @@ var scalingBatch = []apiReq{
 	{Target: "westmere-x5670", Bench: "SP-MZ", Class: "C", Ranks: 32},
 }
 
-// buildScenarios assembles the distributions, truncated to the requested
-// sizes. Unique-request scenarios are never cycled: a repeated request
-// would hit the result cache and stop measuring what the scenario claims
-// to.
-func buildScenarios(cold, warm, hot, degraded, multi, scaling int, external bool) []scenario {
-	var out []scenario
-	if cold > 0 {
-		reqs := []apiReq{
+// buildScenarios assembles the distributions. Unique-request scenarios
+// are never cycled: a repeated request would hit the result cache and
+// stop measuring what the scenario claims to.
+func buildScenarios(external bool) []scenario {
+	hotReq := apiReq{Target: "power6-575", Bench: "BT-MZ", Class: "C", Ranks: 16}
+	var warm []apiReq
+	for _, r := range []int{32, 64, 128, 4, 8, 12, 20, 24, 40, 48} {
+		warm = append(warm, apiReq{Target: "power6-575", Bench: "BT-MZ", Class: "C", Ranks: r})
+	}
+	shared := []scenario{{
+		name:  "shared-base-warm",
+		note:  "requests sharing (app, base, target) with the primed one, differing only in ranks",
+		prime: []apiReq{hotReq},
+		reqs:  warm,
+	}, {
+		name:   "cache-hot",
+		note:   "one request repeated: the result-cache hit path",
+		prime:  []apiReq{hotReq},
+		repeat: hotReq,
+		n:      hotN,
+	}}
+	if external {
+		return shared
+	}
+
+	out := []scenario{{
+		name: "cache-cold",
+		note: "distinct requests, layered store disabled: every request pays the full pipeline",
+		reqs: []apiReq{
 			{Target: "bgp", Bench: "BT-MZ", Class: "C", Ranks: 16},
 			{Target: "power6-575", Bench: "SP-MZ", Class: "C", Ranks: 16},
 			{Target: "westmere-x5670", Bench: "LU-MZ", Class: "C", Ranks: 16},
 			{Target: "westmere-x5670", Bench: "BT-MZ", Class: "C", Ranks: 16},
 			{Target: "bgp", Bench: "SP-MZ", Class: "C", Ranks: 16},
-			{Target: "power6-575", Bench: "LU-MZ", Class: "C", Ranks: 16},
-			{Target: "power6-575", Bench: "BT-MZ", Class: "C", Ranks: 32},
-			{Target: "bgp", Bench: "LU-MZ", Class: "C", Ranks: 16},
-			{Target: "westmere-x5670", Bench: "SP-MZ", Class: "C", Ranks: 32},
-		}
+		},
+		noStore: true,
+	}}
+	out = append(out, shared...)
+	// The batch hashes to three (base, target) ring groups, so every op
+	// exercises grouping plus peer forwarding. One untimed batch primes
+	// the owners; the measured round-trips are then hot at every replica
+	// and isolate the routing overhead itself.
+	out = append(out, scenario{
+		name: "multi-replica-batch",
+		note: "3 peer-wired replicas; each measured op is one /v1/batch of 6 requests " +
+			"spanning 3 ring groups, owners primed: grouping + forwarding overhead on the hot path",
+		replicas: 3,
+		batch:    ringBatch,
+		n:        multiN,
+	})
+	// The same primed batch at 2, 4 and 8 replicas: the workload and group
+	// count are fixed, so latency differences across the three scenarios
+	// are attributable to ring size (more forwarding hops land off-node as
+	// membership grows, while per-owner work shrinks).
+	for _, replicas := range []int{2, 4, 8} {
 		out = append(out, scenario{
-			name:    "cache-cold",
-			note:    "distinct requests, layered store disabled: every request pays the full pipeline",
-			reqs:    reqs[:min(cold, len(reqs))],
-			noStore: true,
+			name: fmt.Sprintf("cluster-scaling-%d", replicas),
+			note: fmt.Sprintf("%d peer-wired replicas; each measured op is one /v1/batch of 6 requests "+
+				"spanning 3 ring groups, owners primed: routing overhead as the ring grows", replicas),
+			replicas: replicas,
+			batch:    ringBatch,
+			n:        scalingN,
 		})
 	}
-	if warm > 0 {
-		var reqs []apiReq
-		for _, r := range []int{32, 64, 128, 4, 8, 12, 20, 24, 40, 48} {
-			reqs = append(reqs, apiReq{Target: "power6-575", Bench: "BT-MZ", Class: "C", Ranks: r})
-		}
-		out = append(out, scenario{
-			name:  "shared-base-warm",
-			note:  "requests sharing (app, base, target) with the primed one, differing only in ranks",
-			prime: []apiReq{{Target: "power6-575", Bench: "BT-MZ", Class: "C", Ranks: 16}},
-			reqs:  reqs[:min(warm, len(reqs))],
-		})
-	}
-	if hot > 0 {
-		out = append(out, scenario{
-			name:   "cache-hot",
-			note:   "one request repeated: the result-cache hit path",
-			prime:  []apiReq{{Target: "power6-575", Bench: "BT-MZ", Class: "C", Ranks: 16}},
-			repeat: apiReq{Target: "power6-575", Bench: "BT-MZ", Class: "C", Ranks: 16},
-			n:      hot,
-		})
-	}
-	if multi > 0 && !external {
-		// Six requests hashing to three (base, target) ring groups, so every
-		// batch exercises grouping plus peer forwarding. One untimed batch
-		// primes the owners; the measured round-trips are then hot at every
-		// replica and isolate the routing overhead itself.
-		batch := []apiReq{
-			{Target: "bgp", Bench: "BT-MZ", Class: "C", Ranks: 16},
-			{Target: "bgp", Bench: "SP-MZ", Class: "C", Ranks: 16},
-			{Target: "power6-575", Bench: "BT-MZ", Class: "C", Ranks: 16},
-			{Target: "power6-575", Bench: "BT-MZ", Class: "C", Ranks: 32},
-			{Target: "westmere-x5670", Bench: "LU-MZ", Class: "C", Ranks: 16},
-			{Target: "westmere-x5670", Bench: "SP-MZ", Class: "C", Ranks: 32},
-		}
-		out = append(out, scenario{
-			name: "multi-replica-batch",
-			note: "3 peer-wired replicas; each measured op is one /v1/batch of 6 requests " +
-				"spanning 3 ring groups, owners primed: grouping + forwarding overhead on the hot path",
-			replicas: 3,
-			batch:    batch,
-			n:        multi,
-		})
-	}
-	if scaling > 0 && !external {
-		// The same primed batch at 2, 4 and 8 replicas: the workload and group
-		// count are fixed, so latency differences across the three scenarios
-		// are attributable to ring size (more forwarding hops land off-node as
-		// membership grows, while per-owner work shrinks).
-		for _, replicas := range []int{2, 4, 8} {
-			out = append(out, scenario{
-				name: fmt.Sprintf("cluster-scaling-%d", replicas),
-				note: fmt.Sprintf("%d peer-wired replicas; each measured op is one /v1/batch of 6 requests "+
-					"spanning 3 ring groups, owners primed: routing overhead as the ring grows", replicas),
-				replicas: replicas,
-				batch:    scalingBatch,
-				n:        scaling,
-			})
-		}
-	}
-	if degraded > 0 && !external {
-		reqs := []apiReq{
+	return append(out, scenario{
+		name: "degraded-input",
+		note: "benchmark data fault-injected (core.spec.target=drop): the lenient/quality path",
+		reqs: []apiReq{
 			{Target: "bgp", Bench: "SP-MZ", Class: "C", Ranks: 16},
 			{Target: "power6-575", Bench: "LU-MZ", Class: "C", Ranks: 16},
 			{Target: "power6-575", Bench: "BT-MZ", Class: "C", Ranks: 24},
-		}
-		out = append(out, scenario{
-			name:   "degraded-input",
-			note:   "benchmark data fault-injected (core.spec.target=drop): the lenient/quality path",
-			reqs:   reqs[:min(degraded, len(reqs))],
-			faults: "core.spec.target=drop",
-		})
-	}
-	return out
+		},
+		faults: "core.spec.target=drop",
+	})
 }
 
 // profileConfig names the per-scenario pprof outputs: when a prefix is set,
@@ -399,8 +329,9 @@ func buildScenarios(cold, warm, hot, degraded, multi, scaling int, external bool
 // <prefix>.<scenario>.pb.gz, so a kernel win (or a future regression) is
 // attributable to the functions that moved. CPU profiles cover exactly the
 // measured requests; allocation profiles are the runtime's cumulative
-// alloc_space profile written at scenario end, so for exact attribution run
-// one scenario at a time (e.g. -cold 5 -warm 0 -hot 0 -degraded 0 -multi 0).
+// alloc_space profile written at scenario end, so one scenario's
+// allocations are its profile diffed against the previous scenario's
+// (go tool pprof -diff_base).
 type profileConfig struct {
 	cpuPrefix string
 	memPrefix string
@@ -442,28 +373,28 @@ func (p profileConfig) heap(name string) error {
 // runScenario measures one scenario: fresh in-process server (or the
 // external address), prime requests untimed, then the measured set on a
 // bounded worker pool.
-func runScenario(sc scenario, addr string, conc, cacheSize, evalWorkers int, timeout time.Duration, prof profileConfig) (*scenarioResult, error) {
+func runScenario(sc scenario, addr string, prof profileConfig) (*scenarioResult, error) {
 	base := addr
 	var shutdown, quiesce func()
 	if base == "" {
 		var err error
 		if sc.replicas > 1 {
-			base, shutdown, quiesce, err = startReplicas(sc, cacheSize, evalWorkers)
+			base, shutdown, quiesce, err = startReplicas(sc)
 		} else {
-			base, shutdown, err = startServer(sc, cacheSize, evalWorkers)
+			base, shutdown, err = startServer(sc)
 		}
 		if err != nil {
 			return nil, err
 		}
 		defer shutdown()
 	}
-	if sc.faults != "" && addr == "" {
+	if sc.faults != "" {
 		if err := faultinject.Arm(sc.faults); err != nil {
 			return nil, err
 		}
 		defer faultinject.Disarm()
 	}
-	client := &http.Client{Timeout: timeout}
+	client := &http.Client{Timeout: reqTimeout}
 	url := "http://" + strings.TrimPrefix(base, "http://") + "/v1/project"
 	payload := func(r apiReq) string { return r.body() }
 	if len(sc.batch) > 0 {
@@ -535,11 +466,8 @@ func runScenario(sc scenario, addr string, conc, cacheSize, evalWorkers int, tim
 	errs := make([]error, len(reqs))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	if conc < 1 {
-		conc = 1
-	}
 	t0 := time.Now()
-	for w := 0; w < conc; w++ {
+	for w := 0; w < concurrency; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -584,7 +512,7 @@ func runScenario(sc scenario, addr string, conc, cacheSize, evalWorkers int, tim
 		Note:          sc.note,
 		Requests:      len(reqs),
 		Errors:        nerr,
-		Concurrency:   conc,
+		Concurrency:   concurrency,
 		P50Ms:         ms(percentile(ok, 0.50)),
 		P95Ms:         ms(percentile(ok, 0.95)),
 		P99Ms:         ms(percentile(ok, 0.99)),
@@ -601,12 +529,11 @@ func runScenario(sc scenario, addr string, conc, cacheSize, evalWorkers int, tim
 
 // startServer hosts a fresh projection server on a loopback listener for
 // one scenario, returning its address and a shutdown function.
-func startServer(sc scenario, cacheSize, evalWorkers int) (string, func(), error) {
+func startServer(sc scenario) (string, func(), error) {
 	scope := obs.New("swappbench")
 	srv := server.New(server.Config{
-		CacheSize:   cacheSize,
-		EvalWorkers: evalWorkers,
-		Obs:         scope,
+		CacheSize: cacheSize,
+		Obs:       scope,
 
 		DisableLayeredCache: sc.noStore,
 	})
@@ -628,7 +555,7 @@ func startServer(sc scenario, cacheSize, evalWorkers int) (string, func(), error
 // first replica's address: the load generator drives one node and lets the
 // ring fan the groups out. Listeners are bound before any server is
 // constructed so every replica knows the full peer list up front.
-func startReplicas(sc scenario, cacheSize, evalWorkers int) (string, func(), func(), error) {
+func startReplicas(sc scenario) (string, func(), func(), error) {
 	n := sc.replicas
 	lns := make([]net.Listener, n)
 	urls := make([]string, n)
@@ -655,11 +582,10 @@ func startReplicas(sc scenario, cacheSize, evalWorkers int) (string, func(), fun
 		}
 		scopes[i] = obs.New(fmt.Sprintf("swappbench-replica%d", i))
 		srv := server.New(server.Config{
-			CacheSize:   cacheSize,
-			EvalWorkers: evalWorkers,
-			Obs:         scopes[i],
-			Self:        urls[i],
-			Peers:       peers,
+			CacheSize: cacheSize,
+			Obs:       scopes[i],
+			Self:      urls[i],
+			Peers:     peers,
 
 			DisableLayeredCache: sc.noStore,
 		})
@@ -761,168 +687,6 @@ func procRSS() int64 {
 	return 0
 }
 
-// compare derives the headline ratios, optionally against a baseline run.
-func compare(cur, base []scenarioResult) *comparison {
-	c := &comparison{}
-	find := func(rs []scenarioResult, name string) *scenarioResult {
-		for i := range rs {
-			if rs[i].Name == name {
-				return &rs[i]
-			}
-		}
-		return nil
-	}
-	if cold, warm := find(cur, "cache-cold"), find(cur, "shared-base-warm"); cold != nil && warm != nil && warm.P50Ms > 0 {
-		c.ColdP50OverWarmP50 = round2(cold.P50Ms / warm.P50Ms)
-	}
-	if base != nil {
-		c.AllocsChangePct = map[string]float64{}
-		c.P50ChangePct = map[string]float64{}
-		for i := range cur {
-			b := find(base, cur[i].Name)
-			if b == nil {
-				continue
-			}
-			if b.AllocsPerOp > 0 {
-				c.AllocsChangePct[cur[i].Name] = round1(100 * (cur[i].AllocsPerOp - b.AllocsPerOp) / b.AllocsPerOp)
-			}
-			if b.P50Ms > 0 {
-				c.P50ChangePct[cur[i].Name] = round1(100 * (cur[i].P50Ms - b.P50Ms) / b.P50Ms)
-			}
-		}
-	}
-	return c
-}
-
-// scenarioKnob names the swappbench flag that enables one scenario, for
-// strict-gate diagnostics.
-func scenarioKnob(name string) string {
-	switch {
-	case name == "cache-cold":
-		return "-cold"
-	case name == "shared-base-warm":
-		return "-warm"
-	case name == "cache-hot":
-		return "-hot"
-	case name == "degraded-input":
-		return "-degraded"
-	case name == "multi-replica-batch":
-		return "-multi"
-	case strings.HasPrefix(name, "cluster-scaling-"):
-		return "-scaling"
-	}
-	return ""
-}
-
-// replicaScenario reports whether a scenario hosts peer-wired replicas and
-// drives real HTTP between them (vs a single in-process server).
-func replicaScenario(name string) bool {
-	return name == "multi-replica-batch" || strings.HasPrefix(name, "cluster-scaling-")
-}
-
-// gateCheck compares a fresh run against the committed baseline file and
-// reports pass/fail. Latency is gated on p50: every scenario runs at most
-// a few hundred requests, so its p95 is one or two outlier samples and
-// swings 30-50% run to run on a shared box, while the median is stable.
-// Even the median breathes with host load, so latency gets its own looser
-// tolerance (maxLatRegressPct) than allocs/op (maxRegressPct); allocs/op
-// is near-deterministic for single-server scenarios but breathes too in
-// the replica scenarios (retry/admission timing between peers), which
-// therefore use the latency tolerance for both metrics. Latency comparisons only hold on comparable hardware: when the committed
-// environment differs in CPU count, they are skipped (with a note) and
-// only the host-independent allocs/op gate applies. Neither metric is
-// compared when a scenario ran a different number of requests than the
-// baseline: allocs/op amortises fixed per-scenario costs (first-request
-// lazy init, replica background work) over the op count, and latency
-// depends on how many requests queue against the worker pool — such a
-// scenario contributes coverage only.
-//
-// In strict mode (CI) coverage itself is gated: every baseline scenario
-// must appear in this run, so a misconfigured knob — or a harness edit that
-// silently drops a scenario — cannot shrink what the gate protects.
-func gateCheck(w io.Writer, cur, committed *benchFile, maxRegressPct, maxLatRegressPct float64, strict bool) bool {
-	comparableHost := committed.Environment.CPUs == cur.Environment.CPUs &&
-		committed.Environment.GOMAXPROCS == cur.Environment.GOMAXPROCS
-	if !comparableHost {
-		fmt.Fprintf(w, "swappbench: gate: committed baseline ran on %d CPUs (here %d); "+
-			"latency gates skipped, comparing allocs/op only\n",
-			committed.Environment.CPUs, cur.Environment.CPUs)
-	}
-	pass := true
-	for _, c := range cur.Scenarios {
-		var base *scenarioResult
-		for i := range committed.Scenarios {
-			if committed.Scenarios[i].Name == c.Name {
-				base = &committed.Scenarios[i]
-				break
-			}
-		}
-		if base == nil {
-			fmt.Fprintf(w, "swappbench: gate: scenario %s not in baseline, skipped\n", c.Name)
-			continue
-		}
-		check := func(metric string, got, want, tolerancePct float64, enabled bool) {
-			if !enabled || want <= 0 {
-				return
-			}
-			regr := 100 * (got - want) / want
-			status := "ok"
-			if regr > tolerancePct {
-				status = "FAIL"
-				pass = false
-			}
-			fmt.Fprintf(w, "swappbench: gate: %-18s %-14s %12.1f vs %12.1f (%+6.1f%%, tol %.0f%%) %s\n",
-				c.Name, metric, got, want, regr, tolerancePct, status)
-		}
-		if c.Requests != base.Requests {
-			fmt.Fprintf(w, "swappbench: gate: %-18s measured at %d requests vs %d in baseline; "+
-				"metrics not compared (coverage only)\n", c.Name, c.Requests, base.Requests)
-			continue
-		}
-		allocTol := maxRegressPct
-		if replicaScenario(c.Name) {
-			// Replica scenarios route real HTTP between peer servers; how
-			// many forwards hit the admission queue's 503-and-retry path is
-			// timing-dependent, so even allocs/op breathes run to run and
-			// gets the looser latency tolerance.
-			allocTol = maxLatRegressPct
-		}
-		check("p50_ms", c.P50Ms, base.P50Ms, maxLatRegressPct, comparableHost)
-		check("allocs_per_op", c.AllocsPerOp, base.AllocsPerOp, allocTol, true)
-	}
-	if strict {
-		covered := map[string]bool{}
-		for _, c := range cur.Scenarios {
-			covered[c.Name] = true
-		}
-		for _, b := range committed.Scenarios {
-			if covered[b.Name] {
-				continue
-			}
-			pass = false
-			if knob := scenarioKnob(b.Name); knob != "" {
-				fmt.Fprintf(w, "swappbench: gate: FAIL baseline scenario %s not measured by this run (enable it with %s)\n", b.Name, knob)
-			} else {
-				fmt.Fprintf(w, "swappbench: gate: FAIL baseline scenario %s is unknown to this harness; "+
-					"regenerate BENCH_swappd.json or restore the scenario\n", b.Name)
-			}
-		}
-	}
-	return pass
-}
-
-func loadBench(path string) (*benchFile, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var doc benchFile
-	if err := json.Unmarshal(b, &doc); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &doc, nil
-}
-
 // percentile returns the q-quantile of sorted latencies (nearest-rank).
 func percentile(sorted []time.Duration, q float64) time.Duration {
 	if len(sorted) == 0 {
@@ -940,7 +704,6 @@ func percentile(sorted []time.Duration, q float64) time.Duration {
 
 func ms(d time.Duration) float64 { return round3(float64(d) / float64(time.Millisecond)) }
 func round1(v float64) float64   { return roundTo(v, 10) }
-func round2(v float64) float64   { return roundTo(v, 100) }
 func round3(v float64) float64   { return roundTo(v, 1000) }
 func roundTo(v float64, s float64) float64 {
 	if v < 0 {
@@ -964,11 +727,4 @@ func firstErr(errs []error) error {
 		}
 	}
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

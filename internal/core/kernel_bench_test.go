@@ -38,8 +38,8 @@ func benchKernelFixture(benches, metrics int) (*EvalKernel, [][]float64) {
 }
 
 // BenchmarkKernel is the per-genome objective: one EvalKernel.Objective
-// call on a surrogate-search-shaped problem. Gated by bench_gate.sh via
-// BENCH_kernel.json — allocs/op must stay 0.
+// call on a surrogate-search-shaped problem. Gated by cmd/benchstatgate
+// against BENCH_kernel.json — allocs/op must stay 0.
 func BenchmarkKernel(b *testing.B) {
 	kern, genomes := benchKernelFixture(29, 52)
 	scratch := kern.NewScratch()

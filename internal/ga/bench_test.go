@@ -263,7 +263,7 @@ func cheapFitness(g []float64) float64 {
 // BenchmarkScoreAll measures one evaluator batch. "miss" scores fresh
 // genomes (hash + insert + fitness dispatch + index readback); "hit"
 // rescores a fully memoized batch (pure probe + readback). Both are gated
-// by bench_gate.sh via BENCH_kernel.json; the hit path must stay
+// by cmd/benchstatgate against BENCH_kernel.json; the hit path must stay
 // allocation-free and the miss path's allocs are the memo inserts alone.
 func BenchmarkScoreAll(b *testing.B) {
 	const genomeLen = 29

@@ -1,5 +1,5 @@
-// Package imb implements the Intel MPI Benchmarks suite of the paper —
-// PingPong, PingPing, Sendrecv, Exchange and the collective benchmarks —
+// Package imb implements the Intel MPI Benchmarks whose results SWAPP's
+// projection reads — PingPong, Sendrecv and the collective benchmarks —
 // plus the paper's custom multi-Sendrecv benchmark (§2.2), on top of the
 // discrete-event MPI simulator.
 //
@@ -27,16 +27,6 @@ import (
 // DefaultSizes is the power-of-two message grid the suite sweeps, 4 B to
 // 1 MiB.
 func DefaultSizes() []units.Bytes { return units.Pow2Sizes(4, 1*units.MiB) }
-
-// Synthetic routine labels for IMB patterns that have no single MPI
-// routine name. They appear as PerOp table keys alongside the real
-// routines.
-const (
-	// PingPing is the simultaneous bidirectional point-to-point pattern.
-	PingPing mpi.Routine = "IMB_PingPing"
-	// Exchange is the two-neighbour halo pattern.
-	Exchange mpi.Routine = "IMB_Exchange"
-)
 
 // iterations per (benchmark, size) measurement. The simulator is
 // deterministic, so a handful suffices to average out pipeline fill.
@@ -288,40 +278,6 @@ func Run(m *arch.Machine, ranks int, sizes []units.Bytes) (*Table, error) {
 		}
 		put(mpi.RoutineSend, size, pp/(2*iterations))
 		put(mpi.RoutineRecv, size, pp/(2*iterations))
-
-		// --- PingPing: both partners send simultaneously. ---
-		pping, err := measure(m, ranks, func(r *mpi.Rank) {
-			partner := pairDistant(r.ID(), ranks)
-			if partner < 0 {
-				return
-			}
-			for i := 0; i < iterations; i++ {
-				s := r.Isend(partner, size, i)
-				v := r.Irecv(partner, size, i)
-				r.Waitall(s, v)
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		put(PingPing, size, pping/iterations)
-
-		// --- Exchange: both ring neighbours, IMB's halo pattern. ---
-		exch, err := measure(m, ranks, func(r *mpi.Rank) {
-			next := (r.ID() + 1) % r.Size()
-			prev := (r.ID() + r.Size() - 1) % r.Size()
-			for i := 0; i < iterations; i++ {
-				a := r.Irecv(prev, size, i)
-				b := r.Irecv(next, size, 100000+i)
-				c := r.Isend(next, size, i)
-				d := r.Isend(prev, size, 100000+i)
-				r.Waitall(a, b, c, d)
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		put(Exchange, size, exch/iterations)
 
 		// --- Sendrecv ring. ---
 		sr, err := measure(m, ranks, func(r *mpi.Rank) {

@@ -189,29 +189,6 @@ func TestFasterNetworkFasterTable(t *testing.T) {
 	}
 }
 
-func TestPingPingAndExchangeMeasured(t *testing.T) {
-	tab := runTable(t, arch.Hydra, 8)
-	for _, rt := range []mpi.Routine{PingPing, Exchange} {
-		for _, size := range smallSizes() {
-			v := tab.PerOp[rt][size]
-			if v <= 0 {
-				t.Fatalf("%s at %dB: non-positive time %v", rt, size, v)
-			}
-		}
-	}
-	// Exchange moves four messages per op vs PingPing's two; at large
-	// sizes it must cost more.
-	big := smallSizes()[len(smallSizes())-1]
-	if tab.PerOp[Exchange][big] <= tab.PerOp[PingPing][big] {
-		t.Errorf("Exchange (%v) should cost more than PingPing (%v) at %d B",
-			tab.PerOp[Exchange][big], tab.PerOp[PingPing][big], big)
-	}
-	// And both are non-blocking patterns: dearer than half a PingPong.
-	if tab.PerOp[PingPing][big] <= tab.PerOp[mpi.RoutineSend][big] {
-		t.Errorf("PingPing should cost at least a one-way send")
-	}
-}
-
 // TestInterpSizeSkipsNonPositive is the regression test for the 1e-12
 // substitution bug: a single zero (or negative) sample used to be replaced
 // by 1e-12 before the log-log fit, bending the interpolated curve through
