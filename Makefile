@@ -26,17 +26,22 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench 'Speedup|EnforceSparsity|TopK' -benchtime 1x ./...
 
-# Regression gate: the GA evaluation-kernel microbenchmarks
-# (Benchmark{Kernel,ScoreAll}) against BENCH_kernel.json, then every
-# swappbench scenario against BENCH_swappd.json, both judged by
+# The microbenchmarks BENCH_kernel.json gates: the GA evaluation kernel
+# (Benchmark{Kernel,ScoreAll}) and the simulator under every cold
+# projection (BenchmarkDESThroughput, BenchmarkIMBRun), so a regression
+# names its layer.
+KERNEL_BENCH = -run '^$$' -bench 'BenchmarkKernel$$|BenchmarkScoreAll|BenchmarkDESThroughput$$|BenchmarkIMBRun' -benchmem
+KERNEL_PKGS = ./internal/core ./internal/ga ./internal/imb .
+
+# Regression gate: the kernel microbenchmarks against BENCH_kernel.json,
+# then every swappbench scenario against BENCH_swappd.json, both judged by
 # cmd/benchstatgate. -count 3: the gate takes each metric's minimum over
 # the runs, which rides out scheduler noise on shared CI boxes. The kernel
 # is gated first so a broken hot path fails before the serving scenarios
 # run. Regenerate the serving baseline with:
 # go run ./cmd/swappbench -out BENCH_swappd.json
 bench-serve:
-	$(GO) test -run '^$$' -bench 'BenchmarkKernel$$|BenchmarkScoreAll' -benchmem -benchtime 300ms -count 3 \
-		./internal/core ./internal/ga > /tmp/kernel_bench.txt
+	$(GO) test $(KERNEL_BENCH) -benchtime 300ms -count 3 $(KERNEL_PKGS) > /tmp/kernel_bench.txt
 	$(GO) run ./cmd/benchstatgate -baseline BENCH_kernel.json /tmp/kernel_bench.txt
 	$(GO) run ./cmd/swappbench -out /tmp/swappd_bench.json
 	$(GO) run ./cmd/benchstatgate -baseline BENCH_swappd.json /tmp/swappd_bench.json
@@ -44,8 +49,7 @@ bench-serve:
 # Rewrite BENCH_kernel.json from a fresh (longer, steadier) benchmark run
 # on this host. Commit the result.
 bench-kernel-baseline:
-	$(GO) test -run '^$$' -bench 'BenchmarkKernel$$|BenchmarkScoreAll' -benchmem -benchtime 1s -count 3 \
-		./internal/core ./internal/ga > /tmp/kernel_bench.txt
+	$(GO) test $(KERNEL_BENCH) -benchtime 1s -count 3 $(KERNEL_PKGS) > /tmp/kernel_bench.txt
 	$(GO) run ./cmd/benchstatgate -baseline BENCH_kernel.json -update /tmp/kernel_bench.txt
 
 # Short mutation pass over the persistence decoders and the WAL replay

@@ -302,7 +302,7 @@ func main() {
 // kernelBaseline renders a go test -bench run as BENCH_kernel.json.
 func kernelBaseline(run Suite) ([]byte, error) {
 	b := kernelFile{
-		Description: "kernel microbenchmark baseline: ns/op and allocs/op for the GA evaluation hot path (EvalKernel objective, evaluator scoreAll), gated by cmd/benchstatgate in make bench-serve. allocs/op gates on every host; ns/op only on matching hardware. Regenerate with: make bench-kernel-baseline",
+		Description: "kernel microbenchmark baseline: ns/op and allocs/op for the GA evaluation hot path (EvalKernel objective, evaluator scoreAll) and the simulator under a cold projection (DES kernel throughput, one 128-rank IMB sweep), gated by cmd/benchstatgate in make bench-serve. allocs/op gates on every host; ns/op only on matching hardware. Regenerate with: make bench-kernel-baseline",
 		Benchmarks:  map[string]kernelRow{},
 	}
 	b.Host.NumCPU, b.Host.GOMAXPROCS = run.CPUs, run.GOMAXPROCS

@@ -159,7 +159,7 @@ func TestCommittedBaselines(t *testing.T) {
 		serving bool
 		rows    int
 	}{
-		{"../../BENCH_kernel.json", false, 3},
+		{"../../BENCH_kernel.json", false, 5},
 		{"../../BENCH_swappd.json", true, 8},
 	} {
 		data, err := os.ReadFile(tc.file)

@@ -1,9 +1,15 @@
 // Package des is a process-oriented discrete-event simulation kernel: the
 // substrate under the MPI simulator. Each simulated process (an MPI rank)
-// is a goroutine that advances a shared virtual clock by blocking on the
-// kernel; the kernel runs exactly one goroutine at a time and orders all
-// wakeups by (virtual time, sequence), so simulations are fully
-// deterministic regardless of Go's scheduler.
+// runs on a coroutine (iter.Pull) that advances a shared virtual clock by
+// yielding to the kernel; the kernel resumes exactly one process at a time
+// and orders all wakeups by (virtual time, sequence), so simulations are
+// fully deterministic regardless of Go's scheduler. A context switch is a
+// direct coroutine transfer, not a trip through the scheduler.
+//
+// A kernel's coroutines end with their processes unless the kernel uses a
+// Pool: then a finished process parks its coroutine there for the next
+// kernel's processes, so a sweep of many short simulations starts each
+// coroutine once.
 //
 // The programming model is the classic coroutine style: a process calls
 // Advance to burn virtual time (compute), and WaitSignal to block until
@@ -82,6 +88,9 @@ type Kernel struct {
 	live   int
 	failed error
 	slab   []Signal // signal arena: NewSignal carves from here
+
+	pool     *Pool // where finished processes park their coroutines; nil: they end
+	aborting bool  // Run is unwinding parked processes
 }
 
 // NewKernel returns an empty kernel at virtual time zero.
@@ -166,8 +175,8 @@ type Proc struct {
 	kind   string
 	nameID int // -1: kind IS the full name; else rendered as kind+nameID
 	state  procState
-	resume chan bool // true = run, false = abort
-	yield  chan struct{}
+	fn     func(*Proc)
+	r      *runner // the coroutine running the process; nil before it starts
 
 	// Blocked-reason data, rendered only by deadlock reports.
 	waitKind waitKind
@@ -211,8 +220,8 @@ type errAborted struct{}
 func (p *Proc) block(kind waitKind, dt units.Seconds, sig *Signal) {
 	p.state = stateBlocked
 	p.waitKind, p.waitDt, p.waitSig = kind, dt, sig
-	p.yield <- struct{}{}
-	if run := <-p.resume; !run {
+	p.r.yield(struct{}{})
+	if p.k.aborting {
 		panic(errAborted{})
 	}
 	p.state = stateRunning
@@ -238,16 +247,6 @@ func (p *Proc) WaitSignal(s *Signal) {
 	}
 	s.addWaiter(p)
 	p.block(waitSignal, 0, s)
-}
-
-// wake marks p runnable and transfers control to it until it blocks again.
-// Must be called from kernel context.
-func (k *Kernel) wake(p *Proc) {
-	if p.state == stateDone {
-		return
-	}
-	p.resume <- true
-	<-p.yield
 }
 
 // Signal is a one-shot broadcast: processes wait on it, someone fires it.
@@ -342,31 +341,10 @@ func (k *Kernel) spawn(kind string, nameID int, fn func(*Proc)) *Proc {
 		kind:   kind,
 		nameID: nameID,
 		state:  stateReady,
-		resume: make(chan bool),
-		yield:  make(chan struct{}),
+		fn:     fn,
 	}
 	k.procs = append(k.procs, p)
 	k.live++
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(errAborted); !ok {
-					// A real bug in simulation code: surface it.
-					k.failed = fmt.Errorf("des: process %s panicked: %v", p.Name(), r)
-				}
-			}
-			p.state = stateDone
-			k.live--
-			// Final handshake: whoever resumed us (wake or
-			// abandonBlocked) is waiting on this yield.
-			p.yield <- struct{}{}
-		}()
-		if run := <-p.resume; !run {
-			panic(errAborted{})
-		}
-		p.state = stateRunning
-		fn(p)
-	}()
 	// First resume event at t=0, in spawn order.
 	k.scheduleWake(0, p)
 	return p
@@ -416,12 +394,18 @@ func (k *Kernel) blockedReport() string {
 	return strings.Join(lines, "\n")
 }
 
-// abandonBlocked unwinds every parked goroutine so Run leaks nothing.
+// abandonBlocked unwinds every parked process so Run leaks nothing: a
+// blocked process resumes into an errAborted panic, which ends it (and
+// frees its coroutine); a process that never started just ends.
 func (k *Kernel) abandonBlocked() {
+	k.aborting = true
 	for _, p := range k.procs {
-		if p.state == stateBlocked || p.state == stateReady {
-			p.resume <- false // triggers errAborted panic in the process
-			<-p.yield
+		switch p.state {
+		case stateBlocked:
+			p.r.resume()
+		case stateReady:
+			p.state = stateDone
+			k.live--
 		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"repro/internal/arch"
+	"repro/internal/des"
 	"repro/internal/mpi"
 	"repro/internal/stats"
 	"repro/internal/units"
@@ -247,6 +248,10 @@ func Run(m *arch.Machine, ranks int, sizes []units.Bytes) (*Table, error) {
 		NBInter: NBFit{InFlight: map[units.Bytes]units.Seconds{}},
 	}
 	multiNode := m.NodesFor(ranks) > 1
+	// Every measure below runs a fresh world of the same ranks; the pool
+	// lets them share one set of rank coroutines.
+	var pool des.Pool
+	defer pool.Close()
 
 	put := func(rt mpi.Routine, size units.Bytes, v units.Seconds) {
 		if t.PerOp[rt] == nil {
@@ -258,7 +263,7 @@ func Run(m *arch.Machine, ranks int, sizes []units.Bytes) (*Table, error) {
 	for _, size := range sizes {
 		size := size
 		// --- blocking point-to-point: PingPong (half round trip). ---
-		pp, err := measure(m, ranks, func(r *mpi.Rank) {
+		pp, err := measure(m, ranks, &pool, func(r *mpi.Rank) {
 			partner := pairDistant(r.ID(), ranks)
 			if partner < 0 {
 				return
@@ -280,7 +285,7 @@ func Run(m *arch.Machine, ranks int, sizes []units.Bytes) (*Table, error) {
 		put(mpi.RoutineRecv, size, pp/(2*iterations))
 
 		// --- Sendrecv ring. ---
-		sr, err := measure(m, ranks, func(r *mpi.Rank) {
+		sr, err := measure(m, ranks, &pool, func(r *mpi.Rank) {
 			next := (r.ID() + 1) % r.Size()
 			prev := (r.ID() + r.Size() - 1) % r.Size()
 			for i := 0; i < iterations; i++ {
@@ -305,7 +310,7 @@ func Run(m *arch.Machine, ranks int, sizes []units.Bytes) (*Table, error) {
 		}
 		for _, c := range colls {
 			c := c
-			el, err := measure(m, ranks, func(r *mpi.Rank) {
+			el, err := measure(m, ranks, &pool, func(r *mpi.Rank) {
 				for i := 0; i < iterations; i++ {
 					c.op(r)
 				}
@@ -319,14 +324,14 @@ func Run(m *arch.Machine, ranks int, sizes []units.Bytes) (*Table, error) {
 		// --- multi-Sendrecv: x in-flight Isend/Irecv pairs + Waitall,
 		// measured for same-node pairs and (when the job spans nodes)
 		// cross-node pairs — IMB's intra/inter cluster modes. ---
-		a, b, err := multiSendrecvFit(m, ranks, size, pairAdjacent)
+		a, b, err := multiSendrecvFit(m, ranks, &pool, size, pairAdjacent)
 		if err != nil {
 			return nil, fmt.Errorf("imb: multi-Sendrecv intra fit at %d B: %w", size, err)
 		}
 		t.NBIntra.Overhead = a
 		t.NBIntra.InFlight[size] = b
 		if multiNode {
-			a, b, err = multiSendrecvFit(m, ranks, size, pairDistant)
+			a, b, err = multiSendrecvFit(m, ranks, &pool, size, pairDistant)
 			if err != nil {
 				return nil, fmt.Errorf("imb: multi-Sendrecv inter fit at %d B: %w", size, err)
 			}
@@ -336,7 +341,7 @@ func Run(m *arch.Machine, ranks int, sizes []units.Bytes) (*Table, error) {
 	}
 
 	// --- Barrier (size-independent). ---
-	bar, err := measure(m, ranks, func(r *mpi.Rank) {
+	bar, err := measure(m, ranks, &pool, func(r *mpi.Rank) {
 		for i := 0; i < iterations; i++ {
 			r.Barrier()
 		}
@@ -380,11 +385,11 @@ func pairAdjacent(id, ranks int) int {
 
 // multiSendrecvFit measures the multi-Sendrecv benchmark over the x sweep
 // with the given pairing and returns the Eq. 1 (overhead, in-flight) fit.
-func multiSendrecvFit(m *arch.Machine, ranks int, size units.Bytes, pairing func(id, ranks int) int) (a, b units.Seconds, err error) {
+func multiSendrecvFit(m *arch.Machine, ranks int, pool *des.Pool, size units.Bytes, pairing func(id, ranks int) int) (a, b units.Seconds, err error) {
 	var xTimes []float64
 	for _, x := range multiXs {
 		x := x
-		el, err := measure(m, ranks, func(r *mpi.Rank) {
+		el, err := measure(m, ranks, pool, func(r *mpi.Rank) {
 			partner := pairing(r.ID(), ranks)
 			if partner < 0 {
 				return
@@ -420,12 +425,14 @@ func multiSendrecvFit(m *arch.Machine, ranks int, size units.Bytes, pairing func
 	return a, b, nil
 }
 
-// measure runs program on a fresh world and returns the makespan.
-func measure(m *arch.Machine, ranks int, program func(r *mpi.Rank)) (units.Seconds, error) {
+// measure runs program on a fresh world whose ranks run on pool's
+// coroutines and returns the makespan.
+func measure(m *arch.Machine, ranks int, pool *des.Pool, program func(r *mpi.Rank)) (units.Seconds, error) {
 	w, err := mpi.NewWorld(m, ranks)
 	if err != nil {
 		return 0, err
 	}
+	w.UsePool(pool)
 	return w.Run(program)
 }
 

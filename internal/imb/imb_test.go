@@ -1,7 +1,9 @@
 package imb
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/arch"
 	"repro/internal/mpi"
@@ -225,4 +227,29 @@ func TestInterpSizeSkipsNonPositive(t *testing.T) {
 	if v := interpSize(grid, all, 2048); v != 0 {
 		t.Errorf("all-non-positive table should yield 0, got %v", v)
 	}
+}
+
+func TestRunLeaksNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	runTable(t, arch.Hydra, 32)
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d rank goroutine(s) outlived imb.Run", runtime.NumGoroutine()-before)
+		}
+	}
+}
+
+// BenchmarkIMBRun times one full default-grid suite: the sweep of short
+// simulated jobs whose coroutine switches and allocations dominate a cold
+// projection's CPU.
+func BenchmarkIMBRun(b *testing.B) {
+	m := arch.MustGet(arch.Hydra)
+	b.Run("128", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Run(m, 128, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

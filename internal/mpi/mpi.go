@@ -306,6 +306,11 @@ func NewWorldHybrid(m *arch.Machine, size, threadsPerRank int) (*World, error) {
 	}, nil
 }
 
+// UsePool runs the world's ranks on coroutines parked in pl and parks them
+// there when the job ends, so a sweep of many short jobs starts each
+// coroutine once; see des.Pool. Must be called before Run.
+func (w *World) UsePool(pl *des.Pool) { w.kernel.UsePool(pl) }
+
 // SetObserver installs the profiling hook. Must be called before Run.
 func (w *World) SetObserver(o Observer) { w.obs = o }
 

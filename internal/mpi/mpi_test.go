@@ -2,11 +2,14 @@ package mpi
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/arch"
+	"repro/internal/des"
 	"repro/internal/units"
 )
 
@@ -456,5 +459,55 @@ func TestInvalidRankPanicsSurface(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "invalid rank") {
 		t.Fatalf("invalid rank must surface as an error, got %v", err)
+	}
+}
+
+func TestPooledWorldsMatchFresh(t *testing.T) {
+	ring := func(r *Rank) {
+		for step := 0; step < 3; step++ {
+			r.Compute(units.Seconds(r.ID()%5) * 1e-4)
+			s := r.Isend((r.ID()+1)%r.Size(), 4*units.KiB, step)
+			v := r.Irecv((r.ID()+r.Size()-1)%r.Size(), 4*units.KiB, step)
+			r.Waitall(s, v)
+			r.Allreduce(8)
+		}
+	}
+	stuck := func(r *Rank) { r.Recv((r.ID()+1)%r.Size(), 8, 0) }
+	sizes := []int{16, 4, 24, 16}
+
+	var want []units.Seconds
+	for _, n := range sizes {
+		ms, err := world(t, arch.Westmere, n).Run(ring)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, ms)
+	}
+
+	before := runtime.NumGoroutine()
+	var pool des.Pool
+	for i, n := range sizes {
+		// A deadlocked job between the measured ones leaves its aborted
+		// ranks' coroutines in the pool for the next job to reuse.
+		w := world(t, arch.Westmere, n)
+		w.UsePool(&pool)
+		if _, err := w.Run(stuck); err == nil {
+			t.Fatal("all-receive job must deadlock")
+		}
+		w = world(t, arch.Westmere, n)
+		w.UsePool(&pool)
+		got, err := w.Run(ring)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want[i] {
+			t.Errorf("%d ranks: pooled makespan %v, fresh %v", n, got, want[i])
+		}
+	}
+	pool.Close()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d rank goroutine(s) outlived the pool", runtime.NumGoroutine()-before)
+		}
 	}
 }
